@@ -4,6 +4,7 @@ use crate::fixture::Fixture;
 use crate::gen::{gen_stmt_sequence, gen_typed_expr, random_target_kind};
 use qdp_core::OptLevel;
 use qdp_expr::{Expr, FieldRef};
+use qdp_jit::KernelCache;
 use qdp_layout::Subset;
 use qdp_proptest::{check, CaseError, Config, Gen};
 use qdp_types::FloatType;
@@ -292,6 +293,7 @@ pub fn fuse_differential_sweep(cfg: &SweepConfig) {
             Ok(())
         },
     );
+    assert_lane_coverage(fx.ctx.kernels(), &format!("fuse_{}", cfg.name));
 }
 
 /// Run an optimized-vs-unoptimized differential sweep: `cfg.cases` random
@@ -324,6 +326,27 @@ pub fn opt_differential_sweep(cfg: &SweepConfig) {
             }
             Ok(())
         },
+    );
+    assert_lane_coverage(fx.ctx.kernels(), &format!("opt_{}", cfg.name));
+}
+
+/// Every kernel a sweep JIT-compiled must take the lane engine. A
+/// generated kernel that failed the straight-line check would still give
+/// the right answer on the thread-at-a-time engine, so only this check
+/// notices it.
+fn assert_lane_coverage(cache: &KernelCache, sweep: &str) {
+    let kernels = cache.compiled();
+    assert!(!kernels.is_empty(), "sweep {sweep} compiled no kernel");
+    let mut general: Vec<&str> = kernels
+        .iter()
+        .filter(|k| !k.straight_line)
+        .map(|k| k.name.as_str())
+        .collect();
+    general.sort_unstable();
+    assert!(
+        general.is_empty(),
+        "sweep {sweep}: generated kernels fail the straight-line check and run one \
+         thread at a time: {general:?}"
     );
 }
 
@@ -406,11 +429,48 @@ pub fn differential_sweep(cfg: &SweepConfig) {
         }
         Ok(())
     });
+    assert_lane_coverage(fx.ctx.kernels(), &cfg.name);
     if cfg.pressure {
         let s = fx.ctx.cache().stats();
         assert!(
             s.spills > baseline.spills && s.page_ins > baseline.page_ins,
             "pressure sweep never hit the spiller: {s:?} (baseline {baseline:?})"
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use qdp_jit::CompileRequest;
+
+    const LOOPING_PTX: &str = "\
+.version 3.1
+.target sm_35
+.address_size 64
+
+.visible .entry looping_probe(
+\t.param .u32 n
+)
+{
+\t.reg .b32 %r<1>;
+\t.reg .pred %p<1>;
+
+\tmov.u32 %r0, 0;
+$top_0:
+\tadd.u32 %r0, %r0, 1;
+\tsetp.lt.u32 %p0, %r0, 4;
+\t@%p0 bra $top_0;
+\tret;
+}
+";
+
+    #[test]
+    #[should_panic(expected = "looping_probe")]
+    fn lane_coverage_names_a_kernel_on_the_general_path() {
+        let cache = KernelCache::new();
+        let k = cache.compile(CompileRequest::new(LOOPING_PTX)).unwrap();
+        assert!(!k.straight_line);
+        assert_lane_coverage(&cache, "probe");
     }
 }

@@ -136,10 +136,58 @@ impl DeviceMemory {
     #[inline]
     fn check(&self, addr: u64, len: usize) {
         assert!(
-            addr as usize + len <= self.buf.len && addr != 0,
+            addr != 0 && addr <= (self.buf.len as u64).saturating_sub(len as u64),
             "device access out of range: addr={addr:#x} len={len} cap={}",
             self.buf.len
         );
+    }
+
+    /// Check `len`-byte accesses at every address of `addrs` at once: if
+    /// the lowest and the highest access are in range, so is every one
+    /// between them.
+    #[inline]
+    fn check_span(&self, addrs: &[u64], len: usize) {
+        let (lo, hi) = addrs
+            .iter()
+            .fold((u64::MAX, 0), |(lo, hi), &a| (lo.min(a), hi.max(a)));
+        if lo <= hi {
+            self.check(lo, len);
+            self.check(hi, len);
+        }
+    }
+
+    /// Read the `N`-byte little-endian value at each address of `addrs`,
+    /// zero-extended, into the matching element of `out` (one lane-wide
+    /// load of the interpreter). The span of the addresses is
+    /// bounds-checked once.
+    #[inline]
+    pub fn gather<const N: usize>(&self, addrs: &[u64], out: &mut [u64]) {
+        const { assert!(N <= 8) };
+        self.check_span(addrs, N);
+        for (o, &a) in out.iter_mut().zip(addrs) {
+            let mut b = [0u8; 8];
+            // SAFETY: span bounds-checked above; see module safety model.
+            unsafe {
+                std::ptr::copy_nonoverlapping(self.buf.ptr.add(a as usize), b.as_mut_ptr(), N);
+            }
+            *o = u64::from_le_bytes(b);
+        }
+    }
+
+    /// Write the low `N` bytes of each element of `vals`, little-endian, to
+    /// the matching address of `addrs`, in order (one lane-wide store). The
+    /// span of the addresses is bounds-checked once.
+    #[inline]
+    pub fn scatter<const N: usize>(&self, addrs: &[u64], vals: &[u64]) {
+        const { assert!(N <= 8) };
+        self.check_span(addrs, N);
+        for (&a, &v) in addrs.iter().zip(vals) {
+            // SAFETY: span bounds-checked above; see module safety model.
+            unsafe {
+                let dst = self.buf.ptr.add(a as usize);
+                std::ptr::copy_nonoverlapping(v.to_le_bytes().as_ptr(), dst, N);
+            }
+        }
     }
 
     /// Read a little-endian value of `N` bytes.
@@ -326,6 +374,41 @@ mod tests {
         m.copy_within(p, q, 256);
         m.copy_to_host(q, &mut back);
         assert_eq!(back, data);
+    }
+
+    #[test]
+    fn gather_scatter_match_scalar_io() {
+        let m = DeviceMemory::new(4096);
+        let p = m.alloc(512).unwrap();
+        let addrs: Vec<u64> = (0..32).map(|l| p + 8 * ((l * 7) % 32)).collect();
+        let vals: Vec<u64> = (0..32).map(|l| 0x0123_4567_89AB_CDEF ^ l).collect();
+        m.scatter::<8>(&addrs, &vals);
+        for (a, v) in addrs.iter().zip(&vals) {
+            assert_eq!(m.read_u64(*a), *v);
+        }
+        let mut out = vec![0u64; 32];
+        m.gather::<8>(&addrs, &mut out);
+        assert_eq!(out, vals);
+        // 4-byte lanes truncate on store and zero-extend on load
+        m.scatter::<4>(&addrs[..3], &[u64::MAX, 7, 1 << 40]);
+        m.gather::<4>(&addrs[..3], &mut out[..3]);
+        assert_eq!(&out[..3], &[0xFFFF_FFFF, 7, 0]);
+        assert_eq!(m.read_u32(addrs[0]), 0xFFFF_FFFF);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn gather_checks_the_whole_span() {
+        let m = DeviceMemory::new(1024);
+        let mut out = [0u64; 3];
+        m.gather::<8>(&[512, 1020, 600], &mut out);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn wrapping_address_panics() {
+        let m = DeviceMemory::new(1024);
+        m.read_u64(u64::MAX - 3);
     }
 
     #[test]

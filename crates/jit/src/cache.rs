@@ -271,6 +271,11 @@ impl KernelCache {
         self.inner.lock().map.len()
     }
 
+    /// Every kernel translated so far, in no particular order.
+    pub fn compiled(&self) -> Vec<Arc<CompiledKernel>> {
+        self.inner.lock().map.values().cloned().collect()
+    }
+
     /// Is the cache empty?
     pub fn is_empty(&self) -> bool {
         self.len() == 0

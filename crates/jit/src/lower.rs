@@ -6,6 +6,11 @@
 //! argument indices, and pre-encodes immediates in the operation's type.
 //! It also extracts the static resource/traffic statistics the performance
 //! model and the occupancy calculation need.
+//!
+//! Programs that pass the straight-line check ([`CompiledKernel::straight_line`]
+//! — every generated kernel does) then have their SSA slots compacted by
+//! live range, so the interpreter's warp-wide register file stays small.
+//! `regs_per_thread` is computed before compaction, from the SSA program.
 
 use qdp_ptx::inst::{BinOp, CmpOp, Inst, MathFn, Operand, SpecialReg, UnOp};
 use qdp_ptx::module::Kernel;
@@ -50,7 +55,7 @@ pub enum AVal {
 }
 
 /// Lowered instructions. Registers are flat slots; labels are gone.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum COp {
     /// Load a kernel argument.
     LdArg {
@@ -225,10 +230,15 @@ pub enum COp {
 pub struct CompiledKernel {
     /// Kernel name.
     pub name: String,
-    /// Lowered program.
+    /// Lowered program; slots compacted by live range when
+    /// [`straight_line`](Self::straight_line) holds.
     pub code: Vec<COp>,
     /// Per-thread register-file size in slots.
     pub n_slots: u32,
+    /// Every branch jumps forward into the `ret`-only tail and every slot
+    /// read follows a write of it. Such a program runs a warp at a time
+    /// (see [`crate::exec`]); any other runs one thread at a time.
+    pub straight_line: bool,
     /// Number of kernel arguments with their declared types.
     pub param_types: Vec<PtxType>,
     /// 32-bit register equivalents per thread (occupancy input).
@@ -262,6 +272,22 @@ fn encode_imm(ty: PtxType, op: &Operand) -> Result<u64, JitError> {
 
 /// Translate one kernel into a [`CompiledKernel`].
 pub fn lower_kernel(kernel: &Kernel) -> Result<CompiledKernel, JitError> {
+    let (mut k, scan) = lower_and_scan(kernel)?;
+    if k.straight_line {
+        k.n_slots = compact_slots(&mut k.code, &scan.last);
+    }
+    Ok(k)
+}
+
+/// Lower without slot compaction: one slot per declared virtual register,
+/// banks laid out consecutively.
+#[cfg(test)]
+pub(crate) fn lower_ssa(kernel: &Kernel) -> Result<CompiledKernel, JitError> {
+    Ok(lower_and_scan(kernel)?.0)
+}
+
+/// Lower to the SSA slot layout and scan its live ranges.
+fn lower_and_scan(kernel: &Kernel) -> Result<(CompiledKernel, SlotScan), JitError> {
     kernel.validate()?;
 
     // Slot assignment: banks are laid out consecutively.
@@ -466,11 +492,13 @@ pub fn lower_kernel(kernel: &Kernel) -> Result<CompiledKernel, JitError> {
         }
         w
     };
-    let allocated_regs = estimate_register_pressure(&code, total, &slot_width);
+    let scan = scan_slots(&code, total);
+    let allocated_regs = estimate_register_pressure(&scan, code.len(), &slot_width);
 
     let (read_bytes, write_bytes) = kernel.thread_bytes();
-    Ok(CompiledKernel {
+    let k = CompiledKernel {
         name: kernel.name.clone(),
+        straight_line: scan.straight_line,
         code,
         n_slots: total,
         param_types: kernel.params.iter().map(|p| p.ty).collect(),
@@ -480,116 +508,196 @@ pub fn lower_kernel(kernel: &Kernel) -> Result<CompiledKernel, JitError> {
         flops: kernel.thread_flops(),
         access_bytes,
         double_precision,
-    })
+    };
+    Ok((k, scan))
 }
 
-/// Slots mentioned by one lowered instruction (defs and uses together —
-/// live ranges span from first to last mention).
-fn aval_into(v: &AVal, out: &mut Vec<u32>) {
-    if let AVal::Slot(s) = v {
-        out.push(*s);
+/// Visit every slot operand of `op`, passing `true` for the slot it writes
+/// and `false` for each slot it reads. A unary call's unused second
+/// argument is not visited.
+fn for_each_slot(op: &mut COp, mut f: impl FnMut(&mut u32, bool)) {
+    fn read(v: &mut AVal, f: &mut impl FnMut(&mut u32, bool)) {
+        if let AVal::Slot(s) = v {
+            f(s, false);
+        }
     }
-}
-
-fn mentioned_slots(op: &COp, out: &mut Vec<u32>) {
     match op {
-        COp::LdArg { dst, .. } => out.push(*dst),
+        COp::LdArg { dst, .. } | COp::Special { dst, .. } => f(dst, true),
         COp::Ld { dst, addr, .. } => {
-            out.push(*dst);
-            out.push(*addr);
+            f(dst, true);
+            f(addr, false);
         }
         COp::St { addr, src, .. } => {
-            out.push(*addr);
-            aval_into(src, out);
+            f(addr, false);
+            read(src, &mut f);
         }
-        COp::Mov { dst, src, .. } => {
-            out.push(*dst);
-            aval_into(src, out);
+        COp::Mov { dst, src, .. } | COp::Un { dst, src, .. } => {
+            f(dst, true);
+            read(src, &mut f);
         }
-        COp::Special { dst, .. } => out.push(*dst),
         COp::Cvt { dst, src, .. } => {
-            out.push(*dst);
-            out.push(*src);
+            f(dst, true);
+            f(src, false);
         }
-        COp::Un { dst, src, .. } => {
-            out.push(*dst);
-            aval_into(src, out);
-        }
-        COp::Bin { dst, a, b, .. } => {
-            out.push(*dst);
-            aval_into(a, out);
-            aval_into(b, out);
+        COp::Bin { dst, a, b, .. } | COp::Setp { dst, a, b, .. } => {
+            f(dst, true);
+            read(a, &mut f);
+            read(b, &mut f);
         }
         COp::MulWide { dst, a, b, .. } => {
-            out.push(*dst);
-            out.push(*a);
-            aval_into(b, out);
+            f(dst, true);
+            f(a, false);
+            read(b, &mut f);
         }
         COp::MadLo { dst, a, b, c, .. } | COp::Fma { dst, a, b, c, .. } => {
-            out.push(*dst);
-            aval_into(a, out);
-            aval_into(b, out);
-            aval_into(c, out);
-        }
-        COp::Setp { dst, a, b, .. } => {
-            out.push(*dst);
-            aval_into(a, out);
-            aval_into(b, out);
+            f(dst, true);
+            read(a, &mut f);
+            read(b, &mut f);
+            read(c, &mut f);
         }
         COp::Selp {
             dst, a, b, pred, ..
         } => {
-            out.push(*dst);
-            aval_into(a, out);
-            aval_into(b, out);
-            out.push(*pred);
+            f(dst, true);
+            read(a, &mut f);
+            read(b, &mut f);
+            f(pred, false);
         }
         COp::Bra { pred, .. } => {
             if let Some((p, _)) = pred {
-                out.push(*p);
+                f(p, false);
             }
         }
-        COp::Call { dst, args, .. } => {
-            out.push(*dst);
-            out.push(args[0]);
-            out.push(args[1]);
+        COp::Call { func, dst, args, .. } => {
+            f(dst, true);
+            f(&mut args[0], false);
+            if func.arity() == 2 {
+                f(&mut args[1], false);
+            }
         }
         COp::Ret => {}
     }
+}
+
+/// What one walk over an SSA program learns about its slots.
+struct SlotScan {
+    /// Index of the op that first mentions each slot (`usize::MAX` if none).
+    first: Vec<usize>,
+    /// Index of the op that last mentions each slot (0 if none).
+    last: Vec<usize>,
+    /// The straight-line check: no `ret` before the `ret`-only tail, every
+    /// branch jumps forward into that tail, and every slot read follows a
+    /// write of the slot. Such a program can run a warp in lockstep — a
+    /// taken branch only retires lanes — and its slots can share storage
+    /// by live range.
+    straight_line: bool,
+}
+
+/// Walk the program once, collecting live ranges (first to last mention,
+/// defs and uses together) and deciding the straight-line check. A unary
+/// call's unused second argument slot counts as a mention, as it always
+/// has, so that `regs_per_thread` stays what it was.
+fn scan_slots(code: &[COp], n_slots: u32) -> SlotScan {
+    let n = n_slots as usize;
+    let tail = code.len() - code.iter().rev().take_while(|op| matches!(op, COp::Ret)).count();
+    let mut first = vec![usize::MAX; n];
+    let mut last = vec![0usize; n];
+    let mut written = vec![false; n];
+    let mut straight_line = true;
+    for (i, op) in code.iter().enumerate() {
+        match op {
+            COp::Ret if i < tail => straight_line = false,
+            COp::Bra { target, .. } if (*target as usize) < tail => straight_line = false,
+            _ => {}
+        }
+        let mut op = *op;
+        let mut def = None;
+        let mut mention = |s: usize| {
+            if first[s] == usize::MAX {
+                first[s] = i;
+            }
+            last[s] = i;
+        };
+        for_each_slot(&mut op, |s, is_def| {
+            let s = *s as usize;
+            mention(s);
+            if is_def {
+                def = Some(s);
+            } else {
+                straight_line &= written[s];
+            }
+        });
+        if let COp::Call { func, args, .. } = op {
+            if func.arity() != 2 {
+                mention(args[1] as usize);
+            }
+        }
+        if let Some(s) = def {
+            written[s] = true;
+        }
+    }
+    SlotScan {
+        first,
+        last,
+        straight_line,
+    }
+}
+
+/// Rename the slots of a straight-line program by a linear scan over live
+/// ranges, so values whose ranges do not overlap share a slot. Returns the
+/// new slot count. A value's range runs from its first write to `last`,
+/// its last mention; the slots of values that die at an op are released
+/// *after* that op's destination is assigned, so no op writes a slot it
+/// also reads from another value. (A slot whose last mention is a unary
+/// call's unused argument is never released: conservative, and at most
+/// one slot.)
+fn compact_slots(code: &mut [COp], last: &[usize]) -> u32 {
+    const UNSET: u32 = u32::MAX;
+    let mut map = vec![UNSET; last.len()];
+    let mut free: Vec<u32> = Vec::new();
+    let mut used = 0u32;
+    let mut dying = Vec::new();
+    for (i, op) in code.iter_mut().enumerate() {
+        for_each_slot(op, |s, _| {
+            let old = *s as usize;
+            if map[old] == UNSET {
+                map[old] = free.pop().unwrap_or_else(|| {
+                    used += 1;
+                    used - 1
+                });
+            }
+            if last[old] == i {
+                dying.push(old);
+            }
+            *s = map[old];
+        });
+        for old in dying.drain(..) {
+            if map[old] != UNSET {
+                free.push(map[old]);
+                map[old] = UNSET;
+            }
+        }
+    }
+    used
 }
 
 /// Peak register pressure: maximum simultaneously live 32-bit register
 /// equivalents, with live ranges approximated as first-to-last mention
 /// (exact for the straight-line streaming kernels the generator emits).
 fn estimate_register_pressure(
-    code: &[COp],
-    n_slots: u32,
+    scan: &SlotScan,
+    n_ops: usize,
     slot_width: &dyn Fn(u32) -> u32,
 ) -> u32 {
-    let n = n_slots as usize;
-    let mut first = vec![usize::MAX; n];
-    let mut last = vec![0usize; n];
-    let mut mentions = Vec::with_capacity(8);
-    for (i, op) in code.iter().enumerate() {
-        mentions.clear();
-        mentioned_slots(op, &mut mentions);
-        for &s in &mentions {
-            let s = s as usize;
-            if first[s] == usize::MAX {
-                first[s] = i;
-            }
-            last[s] = i;
-        }
-    }
     // sweep: +width at first mention, -width after last mention
-    let mut delta = vec![0i64; code.len() + 1];
-    for s in 0..n {
-        if first[s] == usize::MAX {
+    let mut delta = vec![0i64; n_ops + 1];
+    for (s, (&first, &last)) in scan.first.iter().zip(&scan.last).enumerate() {
+        if first == usize::MAX {
             continue;
         }
         let w = slot_width(s as u32) as i64;
-        delta[first[s]] += w;
-        delta[last[s] + 1] -= w;
+        delta[first] += w;
+        delta[last + 1] -= w;
     }
     let mut live = 0i64;
     let mut peak = 0i64;
@@ -750,12 +858,80 @@ mod tests {
         assert!(compile_ptx("garbage").is_err());
     }
 
+    /// The snapshot kernels of the code generator with their
+    /// `regs_per_thread` before slot compaction existed.
+    fn snapshot_kernels() -> Vec<(Kernel, u32)> {
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../core/tests/snapshots");
+        [
+            ("axpy_fermion_dp", 105),
+            ("fused_axpy_norm2_dp", 109),
+            ("fused_force_accum_dp", 89),
+            ("shift_cm_even_dp", 43),
+            ("su3_mul_dp", 87),
+            ("wilson_dslash_dp", 209),
+            ("wilson_dslash_sp", 113),
+        ]
+        .iter()
+        .map(|(name, regs)| {
+            let text = std::fs::read_to_string(dir.join(format!("{name}.ptx"))).unwrap();
+            let mut m = qdp_ptx::parse::parse_module(&text).unwrap();
+            (m.kernels.remove(0), *regs)
+        })
+        .collect()
+    }
+
+    /// Slot compaction may share a slot between values, but never between
+    /// two that are live at once. Walking the compacted program next to the
+    /// SSA one, every read must find the SSA value it reads there.
+    fn assert_compaction_sound(kernel: &Kernel) -> CompiledKernel {
+        let ssa = lower_ssa(kernel).unwrap();
+        let c = lower_kernel(kernel).unwrap();
+        assert!(c.straight_line, "{}", kernel.name);
+        assert!(c.n_slots <= kernel.reg_counts.iter().sum::<u32>());
+        assert_eq!(c.regs_per_thread, ssa.regs_per_thread);
+        assert_eq!(c.code.len(), ssa.code.len(), "compaction only renames slots");
+        let mut holder = vec![u32::MAX; c.n_slots as usize];
+        for (i, (s_op, c_op)) in ssa.code.iter().zip(&c.code).enumerate() {
+            let (mut s_op, mut c_op) = (*s_op, *c_op);
+            let mut s_slots = Vec::new();
+            for_each_slot(&mut s_op, |s, def| s_slots.push((*s, def)));
+            let mut c_slots = Vec::new();
+            for_each_slot(&mut c_op, |s, _| c_slots.push(*s));
+            for (&(s, def), &c) in s_slots.iter().zip(&c_slots) {
+                if !def {
+                    assert_eq!(holder[c as usize], s, "op {i} reads a clobbered slot");
+                }
+            }
+            for (&(s, def), &c) in s_slots.iter().zip(&c_slots) {
+                if def {
+                    holder[c as usize] = s;
+                }
+            }
+            // renaming the slots back gives the SSA op
+            let mut it = s_slots.iter();
+            for_each_slot(&mut c_op, |s, _| *s = it.next().unwrap().0);
+            assert_eq!(c_op, s_op, "op {i}");
+        }
+        c
+    }
+
     #[test]
-    fn slots_are_disjoint_across_banks() {
-        let k = build_simple();
-        let c = lower_kernel(&k).unwrap();
-        // n_slots equals the sum of all declared registers
-        let sum: u32 = k.reg_counts.iter().sum();
-        assert_eq!(c.n_slots, sum);
+    fn compacted_slots_never_hold_two_live_values() {
+        assert_compaction_sound(&build_simple());
+        for (kernel, regs) in snapshot_kernels() {
+            let c = assert_compaction_sound(&kernel);
+            assert_eq!(c.regs_per_thread, regs, "{}: regs_per_thread moved", kernel.name);
+        }
+    }
+
+    #[test]
+    fn compaction_shrinks_the_dslash_register_file() {
+        let (dslash, _) = snapshot_kernels().remove(5);
+        let ssa = lower_ssa(&dslash).unwrap();
+        let c = lower_kernel(&dslash).unwrap();
+        assert_eq!(ssa.n_slots, 3543);
+        // 105 slots today: a 32-lane warp's register file of ~27 kB, where
+        // the SSA layout needs ~900 kB
+        assert!(c.n_slots * 32 * 8 <= 64 * 1024, "{} slots", c.n_slots);
     }
 }

@@ -226,12 +226,17 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // consume one UTF-8 scalar
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
+                    // Append the whole run up to the next quote or escape.
+                    // Both are ASCII, so the run ends on a char boundary and
+                    // each byte of the document is validated once.
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .map_or(self.bytes.len(), |i| self.pos + i);
+                    let text = std::str::from_utf8(&self.bytes[self.pos..run])
                         .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(text);
+                    self.pos = run;
                 }
             }
         }
@@ -299,6 +304,35 @@ mod tests {
         let quoted = format!("\"{}\"", escape(s));
         let v = parse(&quoted).unwrap();
         assert_eq!(v.as_str(), Some(s));
+    }
+
+    #[test]
+    fn multibyte_utf8_next_to_escapes() {
+        let s = "é\"ü\\→\n日本\t€\u{1F600}\"";
+        let quoted = format!("\"{}\"", escape(s));
+        assert_eq!(parse(&quoted).unwrap().as_str(), Some(s));
+        // escapes written by hand, directly against multi-byte scalars
+        let v = parse("\"\u{e9}\\u00e9\\\"\u{65e5}\\n\"").unwrap();
+        assert_eq!(v.as_str(), Some("éé\"日\n"));
+        assert!(parse("\"日本").is_err(), "unterminated after a multi-byte run");
+    }
+
+    #[test]
+    fn multi_megabyte_string_parses_linearly() {
+        // 4 MB of mixed ASCII and multi-byte text with an escape every
+        // 64 kB: a parser that re-validated the rest of the document per
+        // character would take minutes here.
+        let chunk: String = "ab→é".repeat(16 * 1024);
+        let mut s = String::new();
+        while s.len() < 4 << 20 {
+            s.push_str(&chunk);
+            s.push('\n');
+        }
+        let doc = format!("{{\"blob\":\"{}\"}}", escape(&s));
+        let t0 = std::time::Instant::now();
+        let v = parse(&doc).unwrap();
+        assert_eq!(v.get("blob").unwrap().as_str(), Some(s.as_str()));
+        assert!(t0.elapsed().as_secs_f64() < 30.0, "parse took {:?}", t0.elapsed());
     }
 
     #[test]
